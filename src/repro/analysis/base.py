@@ -27,7 +27,6 @@ from repro.core import kernels as _k
 from repro.core.events import Event, EventKind, Target, Tid
 from repro.core.trace import Trace
 from repro.core.vectorclock import VectorClock
-from repro.core.vectorclock_dense import DenseVectorClock, TidTable
 from repro.analysis.races import DynamicRace, RaceReport
 from repro.obs.metrics import DEFAULT_SIZE_BUCKETS
 
@@ -119,32 +118,18 @@ class Detector(abc.ABC):
             reported — it only removes provably fruitless work. Clock
             updates (including rule (a) critical-section recording)
             always run: they define the relation for *other* variables.
-        fast_vc: Back every clock this detector allocates with the
-            dense array kernel
-            (:class:`~repro.core.vectorclock_dense.DenseVectorClock`
-            over a per-trace :class:`~repro.core.vectorclock_dense.TidTable`)
-            instead of the dict-backed :class:`VectorClock`. The two
-            representations are value-equivalent, so verdicts are
-            identical; the dense one trades generality for constant
-            factors.
     """
 
     #: Relation name, e.g. ``"HB"``; set by subclasses.
     relation: str = "?"
 
-    def __init__(self, prefilter: Optional[Collection[Target]] = None,
-                 fast_vc: bool = False):
+    def __init__(self, prefilter: Optional[Collection[Target]] = None):
         self.trace: Optional[Trace] = None
         self.report: Optional[RaceReport] = None
         self._history: Dict[Target, AccessHistory] = {}
         #: Race-candidate variables, or None to race-check every access.
         self.prefilter: Optional[FrozenSet[Target]] = (
             None if prefilter is None else frozenset(prefilter))
-        #: Allocate dense array-backed clocks instead of dict-backed ones.
-        self.fast_vc = bool(fast_vc)
-        #: The tid-interning table shared by this run's dense clocks
-        #: (rebuilt per trace; None while dict-backed clocks are in use).
-        self._tid_table: Optional[TidTable] = None
         self._filter_skips = 0
         self._filter_checks = 0
         #: Per-thread memo of the last clock snapshot taken by
@@ -182,18 +167,29 @@ class Detector(abc.ABC):
     # Driving
     # ------------------------------------------------------------------
     def analyze(self, trace: Trace) -> RaceReport:
-        """Run the detector over ``trace`` and return its race report."""
+        """Run the detector over ``trace`` and return its race report.
+
+        The one driving template for every detector: subclasses change
+        how events are fed (:meth:`_drive`), never the span, its tags,
+        or the begin/finish bracket, so every ``analysis.*`` span of a
+        profile is shaped alike.
+        """
         with obs.span(f"analysis.{self.metric_label()}") as sp:
             # Which kernel implementation ran is part of any perf
             # profile's identity; stamp it so A/B traces self-describe.
             sp.tag("kernels.backend", _k.active_backend())
             self.begin_trace(trace)
-            for event in trace:
-                self.handle(event)
+            self._drive(trace)
             report = self.finish()
             sp.annotate("events", len(trace))
             sp.annotate("races", len(report.races))
         return report
+
+    def _drive(self, trace: Trace) -> None:
+        """Feed every event of ``trace`` to :meth:`handle` (called
+        between :meth:`begin_trace` and :meth:`finish`)."""
+        for event in trace:
+            self.handle(event)
 
     def metric_label(self) -> str:
         """This detector's metric-name segment (``"HB/FastTrack"`` →
@@ -211,15 +207,6 @@ class Detector(abc.ABC):
         self._filter_checks = 0
         self._snap_cache = {}
         self._n_joins = 0
-        self._tid_table = TidTable(trace.threads) if self.fast_vc else None
-
-    def _new_clock(self) -> VectorClock:
-        """A fresh zero clock in this run's selected representation."""
-        if self._tid_table is not None:
-            # DenseVectorClock duck-types the VectorClock surface the
-            # detectors use (get/set/advance/join/copy/version).
-            return DenseVectorClock(self._tid_table)  # type: ignore[return-value]
-        return VectorClock()
 
     def finish(self) -> RaceReport:
         """Return the report for the trace processed so far."""

@@ -353,8 +353,8 @@ class _EpochDetectorBase(Detector):
     def _shared_slow(self, e: Event, is_write: bool) -> None:
         raise NotImplementedError  # pragma: no cover - subclasses override
 
-    def analyze(self, trace: Trace) -> RaceReport:
-        """Run the detector over ``trace`` (specialised driving loop).
+    def _drive(self, trace: Trace) -> None:
+        """Feed ``trace`` through the fused kernels when they are bound.
 
         With the fused compiled access kernel installed, accesses go
         straight to it with every per-event lookup hoisted into locals:
@@ -365,28 +365,21 @@ class _EpochDetectorBase(Detector):
         drive ``begin_trace``/``handle``/``finish`` by hand see
         identical behaviour.
         """
-        with obs.span(f"analysis.{self.metric_label()}") as sp:
-            self.begin_trace(trace)
-            fused = self._c_access
-            if fused is None:
-                for event in trace:
-                    self.handle(event)
+        fused = self._c_access
+        if fused is None:
+            super()._drive(trace)
+            return
+        codes = self._codes
+        ctx = self._ctx
+        handle = self.handle
+        shared_slow = self._shared_slow
+        for event in trace:
+            code = codes[event.eid]
+            if code <= _WRITE:
+                if fused(ctx, event.eid, code == _WRITE, event):
+                    shared_slow(event, code == _WRITE)
             else:
-                codes = self._codes
-                ctx = self._ctx
-                handle = self.handle
-                shared_slow = self._shared_slow
-                for event in trace:
-                    code = codes[event.eid]
-                    if code <= _WRITE:
-                        if fused(ctx, event.eid, code == _WRITE, event):
-                            shared_slow(event, code == _WRITE)
-                    else:
-                        handle(event)
-            report = self.finish()
-            sp.annotate("events", len(trace))
-            sp.annotate("races", len(report.races))
-        return report
+                handle(event)
 
     def _bind_fused(self, fused: Optional[Callable[..., int]],
                     clock_a: List[Any], clock_b: List[Any],
@@ -429,10 +422,10 @@ class _EpochDetectorBase(Detector):
         """Install the fused compiled sync-op kernels for this trace.
 
         ``kernels`` is the (acquire, release, fork, join) tuple from the
-        dispatch module — all None under the python backend or when sync
-        fusion is disabled, which keeps the open-coded handler bodies in
-        charge. The context mirrors ``_bind_fused``'s: one shared tuple
-        of live, mutated-in-place containers."""
+        dispatch module — all None under the python backend, which keeps
+        the open-coded handler bodies in charge. The context mirrors
+        ``_bind_fused``'s: one shared tuple of live, mutated-in-place
+        containers."""
         acquire, release, fork, join = kernels
         if acquire is None or type(self._lt) is not list:
             self._c_acquire = None

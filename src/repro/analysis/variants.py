@@ -1,24 +1,16 @@
 """Single resolution layer for detector variant × kernel backend.
 
-Historically the CLI enforced ``--fast-vc`` / ``--batch`` mutual
-exclusion with argparse and the kernel backend was a separate global
-knob, so every entry point (the serial :class:`Vindicator` pipeline,
-the parallel pool initializers, the serve shards) re-derived its own
-``(variant, backend)`` pair ad hoc. This module centralizes that:
+Every entry point (the serial :class:`Vindicator` pipeline, the
+parallel pool initializers, the serve shards) agrees on one
+``(variant, backend)`` pair through this module:
 
 * :class:`VariantSpec` is the one resolved selection — a detector
-  *variant* (``"reference"``, ``"fast"``, or ``"batch"``) plus an
-  optional kernel-backend request (``"auto"``/``"python"``/
-  ``"compiled"``, or None for "leave the process setting alone").
-
-* :func:`resolve` collapses CLI-style flags into a spec. ``--batch``
-  and ``--fast-vc`` are no longer mutually exclusive: the batch
-  detectors *are* the epoch detectors plus the vectorized planner
-  (:class:`~repro.analysis.batch._BatchMixin` subclasses the
-  smarttrack detectors), so ``batch`` strictly subsumes ``fast`` and
-  giving both simply means batch. Composing either with
-  ``--kernels compiled`` routes the per-event remainder through the
-  fused C kernels — the composite fast path.
+  *variant* plus an optional kernel-backend request (``"auto"``/
+  ``"python"``/``"compiled"``, or None for "leave the process setting
+  alone"). There are two variants: ``"reference"``, the dict-backed
+  WCP/DC detectors, and ``"fast"`` (the CLI's ``--fast-vc``), the
+  SmartTrack epoch detectors, which run their per-event work through
+  the fused C kernels whenever the compiled backend is active.
 
 * :func:`make_analysis_detector` / :func:`make_analysis_detectors`
   are the one place that maps a variant to detector classes, shared
@@ -33,7 +25,7 @@ from typing import Any, Optional, Tuple, Union
 from repro.core import kernels
 
 #: Recognized detector variants, in increasing order of speed.
-VARIANTS = ("reference", "fast", "batch")
+VARIANTS = ("reference", "fast")
 
 
 @dataclass(frozen=True)
@@ -71,33 +63,12 @@ class VariantSpec:
             kernels.set_backend(self.kernels_backend)
         return kernels.active_backend()
 
-    def resolved(self) -> "VariantSpec":
-        """A copy whose backend field is pinned to the *active* backend
-        (resolving ``"auto"``/None), suitable for handing to a worker
-        process that must reproduce this process's configuration."""
-        return VariantSpec(self.variant, kernels.active_backend())
-
 
 def coerce(value: Union[str, VariantSpec, None]) -> VariantSpec:
     """Normalize a legacy variant string (or None) to a spec."""
     if isinstance(value, VariantSpec):
         return value
     return VariantSpec(variant=value if value is not None else "reference")
-
-
-def resolve(*, fast_vc: bool = False, batch: bool = False,
-            variant: Optional[str] = None,
-            kernels_backend: Optional[str] = None) -> VariantSpec:
-    """Collapse CLI-style flags into one :class:`VariantSpec`.
-
-    Precedence: an explicit ``variant`` name wins; otherwise ``batch``
-    subsumes ``fast_vc`` (the batch detectors are the epoch detectors
-    plus the vectorized planner, so ``--batch --fast-vc`` is simply
-    batch, not an error).
-    """
-    if variant is None:
-        variant = "batch" if batch else ("fast" if fast_vc else "reference")
-    return VariantSpec(variant=variant, kernels_backend=kernels_backend)
 
 
 def make_analysis_detector(which: str, variant: Union[str, VariantSpec],
@@ -114,11 +85,6 @@ def make_analysis_detector(which: str, variant: Union[str, VariantSpec],
         return HBDetector(prefilter=prefilter)
     if which not in ("wcp", "dc"):
         raise ValueError(f"unknown detector {which!r}")
-    if variant == "batch":
-        # Imported lazily: only the batch interpreter needs numpy.
-        from repro.analysis.batch import BatchDCDetector, BatchWCPDetector
-        return (BatchWCPDetector(prefilter=prefilter) if which == "wcp"
-                else BatchDCDetector(build_graph=True, prefilter=prefilter))
     if variant == "fast":
         from repro.analysis.smarttrack import (EpochDCDetector,
                                                EpochWCPDetector)

@@ -40,7 +40,14 @@ snapshot document, ``*.prom``/``*.txt`` writes Prometheus text.
 ``lint`` and ``scan`` share one exit-code contract so both work as CI
 gates: **0** — clean, or warnings/notes only; **1** — at least one
 error-severity finding; **2** — usage failure (missing or unreadable
-input, unparsable source).
+input, unparsable source). ``analyze`` and ``profile`` keep the same
+**2** for unusable input: a trace file that cannot be read or parsed
+prints ``error: …`` to stderr instead of a traceback (**1** stays the
+``--sanitize`` violation).
+
+``--fast-vc`` selects the one fast detector path: the SmartTrack epoch
+WCP/DC detectors, running their per-event work through the fused C
+kernels whenever the compiled backend (``--kernels``) is active.
 
 Examples::
 
@@ -66,9 +73,10 @@ from typing import List, Optional
 
 from repro import obs
 from repro.analysis.races import RaceClass
-from repro.analysis.variants import VariantSpec, resolve as resolve_variant
+from repro.analysis.variants import VariantSpec
 from repro.core import kernels
-from repro.core.exceptions import SanitizerError
+from repro.core.exceptions import SanitizerError, TraceFormatError
+from repro.core.trace import Trace
 from repro.static.lint import Severity, lint_document, lint_events
 from repro.stats.distances import static_distance_ranges
 from repro.traces.render import render_witness
@@ -117,14 +125,24 @@ def _print_report(report: VindicatorReport, show_witness: bool) -> None:
 
 
 def _variant_spec(args: argparse.Namespace) -> VariantSpec:
-    """The resolved detector-variant × kernel-backend selection.
-
-    ``--fast-vc`` and ``--batch`` compose rather than conflict (batch
-    subsumes fast-vc), and the global ``--kernels`` choice rides along
+    """The detector-variant × kernel-backend selection: ``--fast-vc``
+    picks the epoch detectors, and the ``--kernels`` choice rides along
     in the spec so pool workers and shards inherit it resolved."""
-    return resolve_variant(fast_vc=getattr(args, "fast_vc", False),
-                           batch=getattr(args, "batch", False),
-                           kernels_backend=args.kernels)
+    return VariantSpec("fast" if args.fast_vc else "reference",
+                       kernels_backend=args.kernels)
+
+
+def _load_trace_file(path: str) -> Optional[Trace]:
+    """Load a text-format trace, or print ``error: …`` to stderr and
+    return None when the file cannot be read or parsed (the caller
+    exits 2, the shared "unusable input" code)."""
+    try:
+        return load_trace(path)
+    except OSError as exc:
+        print(f"error: cannot read trace {path!r}: {exc}", file=sys.stderr)
+    except TraceFormatError as exc:
+        print(f"error: invalid trace {path!r}: {exc}", file=sys.stderr)
+    return None
 
 
 def _run_and_print(vindicator: Vindicator, trace, show_witness: bool,
@@ -143,7 +161,9 @@ def _run_and_print(vindicator: Vindicator, trace, show_witness: bool,
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    trace = load_trace(args.trace)
+    trace = _load_trace_file(args.trace)
+    if trace is None:
+        return 2
     vindicator = Vindicator(vindicate_all=args.vindicate_all,
                             policy=args.policy,
                             prefilter=args.prefilter,
@@ -271,7 +291,8 @@ def _profile_trace(args: argparse.Namespace):
     """Load (or execute) the profile target inside a ``profile.load`` span.
 
     The target is a trace file when a file of that name exists,
-    otherwise a workload name. Returns ``None`` for an unknown target.
+    otherwise a workload name. Returns ``None`` for an unknown target
+    or a trace file that cannot be read or parsed.
     """
     from repro.runtime import execute, fast_path_filter
     from repro.runtime.workloads import WORKLOADS
@@ -284,7 +305,9 @@ def _profile_trace(args: argparse.Namespace):
         return None
     with obs.span("profile.load") as load_span:
         if is_file:
-            trace = load_trace(target)
+            trace = _load_trace_file(target)
+            if trace is None:
+                return None
         else:
             trace = execute(WORKLOADS[target](scale=args.scale),
                             seed=args.seed)
@@ -420,32 +443,21 @@ def build_parser() -> argparse.ArgumentParser:
                               "--jobs 1 (default: 1, fully serial)")
 
     def add_variant_flags(cmd: argparse.ArgumentParser) -> None:
-        # The flags compose instead of conflicting: the batch detectors
-        # are the epoch detectors plus the vectorized planner, so
-        # --batch subsumes --fast-vc (repro.analysis.variants.resolve),
-        # and either composes with --kernels compiled for the full
-        # fused-kernel fast path.
         cmd.add_argument("--fast-vc", action="store_true", dest="fast_vc",
-                         help="run the SmartTrack-style epoch/dense-kernel "
-                              "WCP and DC detectors (same verdicts and "
-                              "constraint graph, >=2x faster)")
-        cmd.add_argument("--batch", action="store_true",
-                         help="run the batched interpreter over the packed "
-                              "columnar encoding (same verdicts and "
-                              "constraint graph, >=5x faster than the "
-                              "reference on workload-scale traces; "
-                              "requires numpy; subsumes --fast-vc and "
-                              "composes with --kernels compiled)")
-        # Accept --kernels after the subcommand too, so the composed
-        # invocation reads naturally (`analyze t.txt --batch --kernels
+                         help="run the SmartTrack-style epoch WCP and DC "
+                              "detectors, through the fused C kernels when "
+                              "the compiled backend is active (same "
+                              "verdicts and constraint graph, >=2x faster)")
+        # Accept --kernels after the subcommand too, so the invocation
+        # reads naturally (`analyze t.txt --fast-vc --kernels
         # compiled`).  SUPPRESS keeps the subparser from clobbering a
         # root-level --kernels with its own default when the flag is
         # only given up front.
         cmd.add_argument("--kernels", choices=("auto", "python", "compiled"),
                          default=argparse.SUPPRESS,
                          help="clock-kernel backend for this run (same as "
-                              "the global --kernels; composes with --batch "
-                              "and --fast-vc)")
+                              "the global --kernels; composes with "
+                              "--fast-vc)")
 
     analyze = sub.add_parser("analyze", help="analyze a text-format trace file")
     analyze.add_argument("trace", help="path to the trace file")

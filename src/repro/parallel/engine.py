@@ -104,9 +104,8 @@ def run_analysis(trace: Trace, *, jobs: int, transitive_force: bool,
     each worker's metrics snapshot is merged and its span trees are
     grafted under the currently open span in that same order.
     ``variant`` is a name or a :class:`~repro.analysis.variants
-    .VariantSpec`: ``"fast"`` runs the epoch/dense-kernel WCP and DC
-    detectors (:mod:`repro.analysis.smarttrack`), ``"batch"`` the
-    vectorized interpreter — both verdict-identical. A spec's kernel
+    .VariantSpec`: ``"fast"`` runs the verdict-identical epoch WCP and
+    DC detectors (:mod:`repro.analysis.smarttrack`). A spec's kernel
     backend is applied here and shipped resolved to every worker, so
     the pool never mixes kernel implementations.
     """

@@ -68,7 +68,6 @@ def init_analysis(packed: PackedTrace, transitive_force: bool,
     # pool never silently mixes kernel implementations.
     kernels.set_backend(kernels_backend)
     _STATE.clear()
-    _STATE["packed"] = packed
     _STATE["trace"] = packed.unpack()
     _STATE["transitive_force"] = transitive_force
     _STATE["prefilter"] = prefilter
@@ -90,10 +89,6 @@ def run_detector(which: str) -> Dict[str, Any]:
     obs_on: bool = _STATE["obs_on"]
     variant = _STATE.get("variant", "reference")
     _obs_begin(obs_on)
-    if variant == "batch" and which in ("wcp", "dc"):
-        # Reuse the pool's packed encoding instead of re-packing.
-        from repro.analysis.batch import seed_packed
-        seed_packed(trace, _STATE["packed"])
     # HB always runs the reference detector (the factory enforces it):
     # FastTrack's racing_at is not equivalent, and HB is not the
     # pipeline bottleneck.

@@ -183,10 +183,10 @@ def _shard_main(conn: "Connection", index: int,
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     # Re-apply the daemon's resolved variant spec (streaming sessions
-    # are always the "reference" variant — batch cannot stream — so in
-    # practice this pins the clock-kernel backend): under `spawn` the
-    # worker would otherwise re-resolve the env default, and a fleet
-    # must never silently mix kernel implementations.
+    # are always the "reference" variant, so in practice this pins the
+    # clock-kernel backend): under `spawn` the worker would otherwise
+    # re-resolve the env default, and a fleet must never silently mix
+    # kernel implementations.
     if spec is not None:
         spec.apply()
     state = ShardState(checkpoint_dir=os.environ.get("TMPDIR", "/tmp"))

@@ -9,8 +9,8 @@ constraint graph, returning a verdict —
 * ``UNKNOWN`` when the greedy constructor fails (inconclusive).
 
 :class:`Vindicator` is the end-to-end system: it runs HB, WCP, and DC
-analyses over the same trace in lockstep (as the paper's implementation
-does, to classify each DC-race as an HB-race, WCP-only race, or DC-only
+analyses over the same trace (as the paper's implementation does, to
+classify each DC-race as an HB-race, WCP-only race, or DC-only
 race), then vindicates every dynamic DC-only race. All edges VindicateRace
 adds to the shared constraint graph are removed afterwards so each race
 is checked independently.
@@ -324,8 +324,8 @@ def _vindication_doc(v: Vindication) -> Dict[str, object]:
 class Vindicator:
     """The complete Vindicator system.
 
-    Runs HB, WCP, and DC analyses in lockstep over a trace, classifies
-    every DC-race, and vindicates the DC-only ones (optionally all).
+    Runs the HB, WCP, and DC analyses over a trace, classifies every
+    DC-race, and vindicates the DC-only ones (optionally all).
 
     Args:
         vindicate_all: Vindicate every DC-race instead of only DC-only
@@ -348,16 +348,14 @@ class Vindicator:
             reachability cache counters excepted — see
             ``docs/PARALLEL.md``).
         variant: ``"reference"`` (default) runs the dict-backed WCP/DC
-            detectors; ``"fast"`` runs the SmartTrack-style epoch/dense
-            kernel variants (:mod:`repro.analysis.smarttrack`, the
-            ``--fast-vc`` CLI switch) — verdict-identical (races, DC
-            constraint graph, counters), substantially faster;
-            ``"batch"`` runs the batched interpreter over the packed
-            columnar encoding (:mod:`repro.analysis.batch`, the
-            ``--batch`` CLI switch) — also verdict-identical, fastest,
-            requires numpy. HB always runs the reference detector (it
-            is not the bottleneck and its ``racing_at`` drives
-            classification).
+            detectors; ``"fast"`` runs the SmartTrack-style epoch
+            detectors (:mod:`repro.analysis.smarttrack`, the
+            ``--fast-vc`` CLI switch), with their per-event work in the
+            fused C kernels when the compiled backend is active —
+            verdict-identical (races, DC constraint graph, counters),
+            substantially faster. HB always runs the reference
+            detector (it is not the bottleneck and its ``racing_at``
+            drives classification).
     """
 
     # Kept as a class attribute for callers that introspect the valid
@@ -393,8 +391,7 @@ class Vindicator:
         #: pins the kernel backend, installed at :meth:`run` entry and
         #: shipped to pool workers so the whole pipeline agrees.
         self.variant_spec = spec
-        #: Detector implementation: "reference", "fast" (epoch/dense),
-        #: or "batch" (packed-columnar batched interpreter).
+        #: Detector implementation: "reference" or "fast" (epoch).
         self.variant = spec.variant
 
     def run(self, trace: Trace) -> VindicatorReport:
@@ -426,25 +423,11 @@ class Vindicator:
             detector.transitive_force = self.transitive_force
         start = time.perf_counter()
         with obs.span("pipeline.analysis") as sp:
-            if self.variant == "batch":
-                # The batch drivers consume the whole trace per
-                # detector; the detectors are independent, so
-                # back-to-back full passes produce the same reports as
-                # the per-event lockstep below (the parallel path
-                # already relies on this).
-                hb_report = hb.analyze(trace)
-                wcp_report = wcp.analyze(trace)
-                dc_report = dc.analyze(trace)
-            else:
-                for detector in (hb, wcp, dc):
-                    detector.begin_trace(trace)
-                for event in trace:
-                    hb.handle(event)
-                    wcp.handle(event)
-                    dc.handle(event)
-                hb_report = hb.finish()
-                wcp_report = wcp.finish()
-                dc_report = dc.finish()
+            # The detectors are independent, so back-to-back full
+            # passes give the same reports the parallel path gets.
+            hb_report = hb.analyze(trace)
+            wcp_report = wcp.analyze(trace)
+            dc_report = dc.analyze(trace)
             sp.annotate("events", len(trace))
         analysis_seconds = time.perf_counter() - start
         report = self.finalize(trace, hb, wcp, dc,

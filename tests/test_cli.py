@@ -60,6 +60,24 @@ class TestAnalyzeCommand:
         dump_trace(figure2(), path)
         assert main(["analyze", str(path), "--policy", "earliest"]) == 0
 
+    @pytest.mark.parametrize("command", ["analyze", "profile"])
+    def test_unparsable_trace_is_usage_error(self, command, tmp_path,
+                                             capsys):
+        # Exit-code contract: unusable input exits 2 with a one-line
+        # error, never a traceback.
+        path = tmp_path / "bad.txt"
+        path.write_text("T1 foo x\n")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown operation" in err
+        assert "Traceback" not in err
+
+    def test_missing_trace_is_usage_error(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path / "absent.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read trace")
+        assert "Traceback" not in err
+
 
 class TestWorkloadCommand:
     def test_workload_runs(self, capsys):
@@ -236,14 +254,14 @@ class TestStaticFlags:
 
 
 #: Every valid composition of the detector-variant, parallelism, and
-#: static-analysis flags. --fast-vc and --batch are mutually exclusive
-#: (both pick the WCP/DC implementation); everything else composes.
-VARIANT_FLAGS = [[], ["--fast-vc"], ["--batch"]]
+#: static-analysis flags: --fast-vc picks the WCP/DC implementation,
+#: and everything composes with it.
+VARIANT_FLAGS = [[], ["--fast-vc"]]
 
 
 class TestVariantFlagMatrix:
     @pytest.mark.parametrize("variant", VARIANT_FLAGS,
-                             ids=["reference", "fast-vc", "batch"])
+                             ids=["reference", "fast-vc"])
     @pytest.mark.parametrize("static", [[], ["--prefilter"]],
                              ids=["plain", "prefilter"])
     def test_workload_matrix_serial(self, variant, static, capsys):
@@ -255,7 +273,7 @@ class TestVariantFlagMatrix:
             assert "pre-filter: skipped" in out
 
     @pytest.mark.parametrize("variant", VARIANT_FLAGS,
-                             ids=["reference", "fast-vc", "batch"])
+                             ids=["reference", "fast-vc"])
     def test_workload_matrix_parallel(self, variant, capsys):
         # The variant must reach the worker processes (bit-identical
         # verdict lines vs the serial run of the same variant).
@@ -272,7 +290,7 @@ class TestVariantFlagMatrix:
             assert line in parallel
 
     @pytest.mark.parametrize("variant", VARIANT_FLAGS[1:],
-                             ids=["fast-vc", "batch"])
+                             ids=["fast-vc"])
     def test_litmus_and_analyze_accept_variants(self, variant, tmp_path,
                                                 capsys):
         assert main(["litmus", "figure2", *variant]) == 0
@@ -283,45 +301,24 @@ class TestVariantFlagMatrix:
                      *variant]) == 0
         assert "vindication:" in capsys.readouterr().out
 
-    def test_batch_matches_reference_output(self, capsys):
-        assert main(["workload", "xalan", "--scale", "0.3",
-                     "--vindicate-all"]) == 0
-        plain = capsys.readouterr().out
-        assert main(["workload", "xalan", "--scale", "0.3",
-                     "--vindicate-all", "--batch"]) == 0
-        batched = capsys.readouterr().out
-        keep = [line for line in plain.splitlines()
-                if "race" in line and "ms)" not in line]
-        assert keep
-        for line in keep:
-            assert line in batched
-
-    def test_fast_vc_and_batch_compose_to_batch(self, capsys):
-        # The flags are no longer mutually exclusive: batch subsumes
-        # fast-vc (repro.analysis.variants.resolve), so giving both is
-        # simply batch and must match the batch-only report.
-        def stable(out: str) -> list:
-            return [line for line in out.splitlines() if "ms)" not in line]
-
-        assert main(["litmus", "figure2", "--batch"]) == 0
-        batch_only = stable(capsys.readouterr().out)
-        assert main(["litmus", "figure2", "--fast-vc", "--batch"]) == 0
-        assert stable(capsys.readouterr().out) == batch_only
-
     def test_variant_resolution_precedence(self):
-        from repro.analysis.variants import VariantSpec, resolve
+        from repro.analysis.variants import VariantSpec
+        from repro.cli import _variant_spec, build_parser
 
-        assert resolve() == VariantSpec("reference", None)
-        assert resolve(fast_vc=True).variant == "fast"
-        assert resolve(batch=True).variant == "batch"
-        assert resolve(fast_vc=True, batch=True).variant == "batch"
-        assert resolve(variant="fast", batch=True).variant == "fast"
-        spec = resolve(batch=True, kernels_backend="python")
-        assert spec == VariantSpec("batch", "python")
+        def spec(*argv):
+            return _variant_spec(build_parser().parse_args(list(argv)))
+
+        assert spec("litmus") == VariantSpec("reference", None)
+        assert spec("litmus", "--fast-vc") == VariantSpec("fast", None)
+        assert (spec("--kernels", "python", "litmus", "--fast-vc")
+                == VariantSpec("fast", "python"))
+        # The sub-command's --kernels wins over the global one.
+        assert (spec("--kernels", "compiled", "litmus", "--kernels",
+                     "python") == VariantSpec("reference", "python"))
         with pytest.raises(ValueError):
-            resolve(variant="warp")
+            VariantSpec("warp")
         with pytest.raises(ValueError):
-            resolve(kernels_backend="fortran")
+            VariantSpec(kernels_backend="fortran")
 
 
 class TestParser:

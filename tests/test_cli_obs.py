@@ -74,6 +74,43 @@ class TestProfileCommand:
         assert main(["profile", trace_file]) == 0
         assert not obs.enabled()
 
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]],
+                             ids=["serial", "jobs2"])
+    @pytest.mark.parametrize("variant", [[], ["--fast-vc"]],
+                             ids=["reference", "fast-vc"])
+    def test_every_analysis_span_is_tagged(self, variant, jobs, tmp_path,
+                                           capsys):
+        # Every detector runs through the one Detector.analyze template,
+        # so every analysis.* span carries the kernel backend and sits
+        # under pipeline.analysis, serial or parallel.
+        out_path = tmp_path / "prof.jsonl"
+        assert main(["profile", "avrora", "--scale", "0.2", *variant,
+                     *jobs, "--metrics", str(out_path)]) == 0
+        records = [json.loads(line)
+                   for line in out_path.read_text().splitlines()]
+        # Span records stream in completion order (children before
+        # their parent), so a record adopts the pending records one
+        # level deeper.
+        children = {}
+        pending = {}
+        for rec in records:
+            if rec["type"] != "span":
+                continue
+            depth = rec["depth"]
+            children.setdefault(rec["name"], []).extend(
+                pending.pop(depth + 1, []))
+            pending.setdefault(depth, []).append(rec)
+        analysis = [rec for rec in records if rec["type"] == "span"
+                    and rec["name"].startswith("analysis.")]
+        assert analysis
+        for rec in analysis:
+            assert rec.get("tags", {}).get("kernels.backend") in (
+                "python", "compiled"), rec
+        names = [rec["name"] for rec in children["pipeline.analysis"]]
+        assert "analysis.hb" in names
+        assert any(name.startswith("analysis.wcp") for name in names)
+        assert any(name.startswith("analysis.dc") for name in names)
+
 
 class TestGlobalMetricsFlag:
     def test_jsonl_stream(self, tmp_path, capsys):
