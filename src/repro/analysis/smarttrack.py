@@ -9,10 +9,12 @@ SmartTrack [Roemer, Genç & Bond, PLDI 2020], which ported FastTrack's
 [Flanagan & Freund 2009] epoch/ownership ideas to the predictive
 analyses, adapted to this repo's exact reference semantics:
 
-* **Dense clock kernel** — one :class:`~repro.core.vectorclock_dense.TidTable`
-  per trace interns thread ids to indices; every clock is a plain
-  ``list`` of ints of fixed length ``T``, joined by the fused kernels in
-  :mod:`repro.core.vectorclock_dense`. A single preprocessing pass
+* **Dense clocks** — one :class:`TidTable` per trace interns thread
+  ids to indices; every clock is a plain ``list`` of ints of fixed
+  length ``T``, joined by the list kernels in :mod:`repro.core.kernels`
+  (or, on the compiled backend, inside the fused per-access and
+  sync-op kernels, which transcribe this module's open-coded
+  handlers). A single preprocessing pass
   (:class:`_TraceIndex`) interns variables, locks, and volatiles and
   precomputes each access's held-lock index tuple, so the per-event loop
   never hashes a thread id or rebuilds a lock stack.
@@ -69,8 +71,8 @@ from __future__ import annotations
 
 import weakref
 from operator import attrgetter
-from typing import (Any, Callable, Collection, Dict, List, Optional, Set,
-                    Tuple)
+from typing import (Any, Callable, Collection, Dict, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro import obs
 from repro.analysis.base import Detector
@@ -79,7 +81,6 @@ from repro.core.events import Event, EventKind, Target, Tid
 from repro.core.exceptions import MalformedTraceError
 from repro.core.trace import Trace
 from repro.core import kernels as _k
-from repro.core.vectorclock_dense import DenseVectorClock, TidTable
 from repro.analysis.sync_structures import DenseLockQueues, DenseSourceClocks
 from repro.graph.constraint_graph import ConstraintGraph
 
@@ -115,6 +116,40 @@ _KIND_CODE: Dict[int, int] = {
     id(EventKind.BEGIN): _OTHER,
     id(EventKind.END): _OTHER,
 }
+
+
+class TidTable:
+    """Compact interning of thread ids to dense indices ``0..T-1``.
+
+    Iteration order of :attr:`tids` is interning order, so detectors that
+    pre-populate the table with ``trace.threads`` scan components in the
+    same first-appearance order the dict-backed clocks use.
+    """
+
+    __slots__ = ("tids", "index")
+
+    def __init__(self, tids: Sequence[Tid] = ()):
+        #: index -> thread id.
+        self.tids: List[Tid] = []
+        #: thread id -> index.
+        self.index: Dict[Tid, int] = {}
+        for tid in tids:
+            self.intern(tid)
+
+    def intern(self, tid: Tid) -> int:
+        """Return ``tid``'s index, assigning the next one if unseen."""
+        idx = self.index.get(tid)
+        if idx is None:
+            idx = len(self.tids)
+            self.index[tid] = idx
+            self.tids.append(tid)
+        return idx
+
+    def __len__(self) -> int:
+        return len(self.tids)
+
+    def __repr__(self) -> str:
+        return f"TidTable({self.tids!r})"
 
 
 class _TraceIndex:
@@ -390,14 +425,13 @@ class _EpochDetectorBase(Detector):
         """Install the fused compiled access kernel for this trace.
 
         No-op (handle() keeps routing through the open-coded
-        ``_on_access``) under the python backend, or when preprocessing
-        produced non-list local-time storage the C kernel cannot index.
-        The context tuple captures every container the kernel touches;
-        all of them are mutated in place for the rest of the trace, so
-        the snapshot stays live.  ``ebuf`` is the DC edge buffer the
+        ``_on_access``) under the python backend. The context tuple
+        captures every container the kernel touches; all of them are
+        mutated in place for the rest of the trace, so the snapshot
+        stays live.  ``ebuf`` is the DC edge buffer the
         kernel appends graph edges to (None for WCP and no-graph DC).
         """
-        if fused is None or type(self._lt) is not list:
+        if fused is None:
             self._c_access = None
             self._ctx = ()
             return
@@ -427,7 +461,7 @@ class _EpochDetectorBase(Detector):
         ``_bind_fused``'s: one shared tuple of live, mutated-in-place
         containers."""
         acquire, release, fork, join = kernels
-        if acquire is None or type(self._lt) is not list:
+        if acquire is None:
             self._c_acquire = None
             self._c_release = None
             self._c_fork = None
@@ -604,15 +638,6 @@ class _EpochDetectorBase(Detector):
     def _clock_values_of(self, tid: Tid) -> Optional[List[int]]:
         raise NotImplementedError
 
-    def clock_of(self, tid: Tid) -> Optional[DenseVectorClock]:
-        """The thread's current analysis clock as a live dense view
-        (None before its first event), mirroring the reference API."""
-        values = self._clock_values_of(tid)
-        if values is None:
-            return None
-        assert self._ix is not None
-        return DenseVectorClock(self._ix.table, values=values)
-
     def ordered_to_current(self, prior: Event, tid: Tid) -> bool:
         if prior.tid == tid:
             return True
@@ -626,7 +651,7 @@ class EpochWCPDetector(_EpochDetectorBase):
     """Epoch-optimised WCP detector (verdict-identical to
     :class:`~repro.analysis.wcp.WCPDetector`).
 
-    Uses the dense kernel, exclusive-variable staging, precomputed held
+    Uses dense list clocks, exclusive-variable staging, precomputed held
     locks, and int-keyed rule (a) tables. The DC-only epoch gates and
     lock-ownership skip are *not* applied — both are unsound for WCP
     (see the module docstring).
@@ -1053,8 +1078,13 @@ class EpochDCDetector(_EpochDetectorBase):
 
     def finish(self) -> RaceReport:
         assert self.report is not None, "begin_trace was never called"
-        if self._ebuf:
-            _k.drain_edges(self._ebuf, self.graph.add_edge)
+        ebuf = self._ebuf
+        if ebuf:
+            add_edge = self.graph.add_edge
+            it = iter(ebuf)
+            for src, dst in zip(it, it):
+                add_edge(src, dst)
+            ebuf.clear()
         self._drain_fused()
         if self._n_graph_edges:
             counters = self.report.counters

@@ -23,7 +23,8 @@ rules (a) and (b)) and differ only in which relation they compose with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple,
+                    TypeVar)
 
 from repro.core import kernels as _k
 from repro.core.events import Tid
@@ -69,7 +70,15 @@ class SourceClocks:
         before the target (its own clock component is covered), which is
         the paper's vector-clock-based edge minimisation.
         """
-        return _k.source_join_into_sparse(self._entries, target, skip_tid)
+        new_sources: List[int] = []
+        target_get = target.get
+        target_join = target.join
+        for tid, (eid, local_time, clock) in self._entries.items():
+            if tid == skip_tid or target_get(tid) >= local_time:
+                continue
+            target_join(clock)
+            new_sources.append(eid)
+        return new_sources
 
     def __bool__(self) -> bool:
         return bool(self._entries)
@@ -149,7 +158,32 @@ class LockQueues:
         consumed silently.)
         """
         my_cursors = self.cursors.setdefault(observer, {})
-        return _k.rule_b_fixpoint_sparse(self.records, my_cursors, clock)
+        new_sources: List[int] = []
+        clock_get = clock.get
+        clock_join = clock.join
+        changed = True
+        while changed:
+            changed = False
+            for tid, recs in self.records.items():
+                i = my_cursors.get(tid, 0)
+                n = len(recs)
+                while i < n:
+                    rec = recs[i]
+                    rel_clock = rec.rel_clock
+                    if rel_clock is None:
+                        # The source critical section is still open; it
+                        # cannot be ordered before this release.
+                        break
+                    t = clock_get(tid)
+                    if t < rec.acq_local_time:
+                        break  # FIFO heads are monotone per thread.
+                    if t < rec.rel_local_time:
+                        clock_join(rel_clock)
+                        new_sources.append(rec.rel_eid)
+                        changed = True
+                    i += 1
+                my_cursors[tid] = i
+        return new_sources
 
     def gc_retire(self, floors: "GCFloors",
                   own_clock: Callable[[Tid], Optional[VectorClock]]) -> int:
@@ -256,14 +290,14 @@ class DenseLockQueues:
 
     def __init__(self) -> None:
         # ti -> [[acq_time, rel_eid, rel_time, rel_snapshot|None], ...]
-        self.records: Dict[int, List[List[object]]] = {}
+        self.records: Dict[int, List[List[Any]]] = {}
         self.cursors: Dict[int, Dict[int, int]] = {}
         self.open_ti = -1
-        self.open_rec: Optional[List[object]] = None
+        self.open_rec: Optional[List[Any]] = None
         self.owner = -1
 
     def on_acquire(self, ti: int, acq_time: int) -> None:
-        rec: List[object] = [acq_time, -1, -1, None]
+        rec: List[Any] = [acq_time, -1, -1, None]
         recs = self.records.get(ti)
         if recs is None:
             recs = self.records[ti] = []
@@ -283,13 +317,39 @@ class DenseLockQueues:
 
     def apply_rule_b(self, observer: int,
                      values: List[int]) -> Optional[List[int]]:
-        """Rule (b) fixpoint, exactly mirroring the reference: consume
-        closed critical sections whose acquire is covered, joining their
-        release snapshots. Returns newly ordered release eids or None."""
+        """Rule (b) fixpoint, exactly mirroring :meth:`LockQueues.apply_rule_b`:
+        consume closed critical sections whose acquire is covered,
+        joining their release snapshots, iterating because each join can
+        order further acquires. Returns newly ordered release eids or
+        None. The fused compiled release kernels transcribe this loop
+        (``rule_b_core`` in ``repro/core/_kernels.c``)."""
         cursors = self.cursors.get(observer)
         if cursors is None:
             cursors = self.cursors[observer] = {}
-        return _k.rule_b_fixpoint(self.records, cursors, values)
+        out: Optional[List[int]] = None
+        changed = True
+        while changed:
+            changed = False
+            for u, recs in self.records.items():
+                i = cursors.get(u, 0)
+                n = len(recs)
+                while i < n:
+                    rec = recs[i]
+                    snap = rec[3]
+                    if snap is None:
+                        break  # source critical section still open
+                    if values[u] < rec[0]:
+                        break  # FIFO heads are monotone per thread
+                    if values[u] < rec[2]:
+                        _k.join_into_list(values, snap)
+                        if out is None:
+                            out = [rec[1]]
+                        else:
+                            out.append(rec[1])
+                        changed = True
+                    i += 1
+                cursors[u] = i
+        return out
 
 
 def _retire_source_tables(tables: Dict[_K, SourceClocks],

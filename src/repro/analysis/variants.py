@@ -1,77 +1,39 @@
-"""Single resolution layer for detector variant × kernel backend.
+"""The one place that maps a detector variant to detector classes.
 
-Every entry point (the serial :class:`Vindicator` pipeline, the
-parallel pool initializers, the serve shards) agrees on one
-``(variant, backend)`` pair through this module:
+There are two variants: ``"reference"``, the dict-backed WCP/DC
+detectors, and ``"fast"`` (the CLI's ``--fast-vc``), the SmartTrack
+epoch detectors, which run their per-event work through the fused C
+kernels whenever the compiled backend is active. A variant is a plain
+string, checked by :func:`check_variant`.
 
-* :class:`VariantSpec` is the one resolved selection — a detector
-  *variant* plus an optional kernel-backend request (``"auto"``/
-  ``"python"``/``"compiled"``, or None for "leave the process setting
-  alone"). There are two variants: ``"reference"``, the dict-backed
-  WCP/DC detectors, and ``"fast"`` (the CLI's ``--fast-vc``), the
-  SmartTrack epoch detectors, which run their per-event work through
-  the fused C kernels whenever the compiled backend is active.
+The kernel backend is not part of the selection: it is process state
+(:func:`repro.core.kernels.set_backend`, set once by the CLI's
+``--kernels``), and pool workers and serve shards receive the parent's
+:func:`~repro.core.kernels.active_backend` by value.
 
-* :func:`make_analysis_detector` / :func:`make_analysis_detectors`
-  are the one place that maps a variant to detector classes, shared
-  by the serial pipeline and the pool workers so they cannot drift.
+:func:`make_analysis_detector` / :func:`make_analysis_detectors` are
+shared by the serial pipeline and the pool workers so they cannot
+drift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Tuple, Union
-
-from repro.core import kernels
+from typing import Any, Tuple
 
 #: Recognized detector variants, in increasing order of speed.
 VARIANTS = ("reference", "fast")
 
 
-@dataclass(frozen=True)
-class VariantSpec:
-    """A fully resolved detector-variant + kernel-backend selection.
-
-    ``kernels_backend`` of None means "do not touch the process-wide
-    backend" (whatever ``set_backend``/``VINDICATOR_KERNELS`` already
-    installed stays in effect); any other value is installed by
-    :meth:`apply` before analysis starts and travels with the spec
-    across process boundaries (pool workers, serve shards) so a
-    pipeline never silently mixes kernel implementations.
-    """
-
-    variant: str = "reference"
-    kernels_backend: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(
-                f"variant must be one of {', '.join(map(repr, VARIANTS))}"
-                f", got {self.variant!r}")
-        if self.kernels_backend is not None \
-                and self.kernels_backend not in kernels.BACKENDS:
-            raise ValueError(
-                f"kernels_backend must be one of "
-                f"{', '.join(map(repr, kernels.BACKENDS))} or None, "
-                f"got {self.kernels_backend!r}")
-
-    def apply(self) -> str:
-        """Install the requested kernel backend process-wide (a no-op
-        when the spec does not name one) and return the backend that is
-        actually active afterwards — the value to ship to workers."""
-        if self.kernels_backend is not None:
-            kernels.set_backend(self.kernels_backend)
-        return kernels.active_backend()
+def check_variant(variant: str) -> str:
+    """Return ``variant`` unchanged, or raise ValueError if unknown."""
+    if variant not in VARIANTS:
+        raise ValueError(
+            f"variant must be one of {', '.join(map(repr, VARIANTS))}"
+            f", got {variant!r}")
+    return variant
 
 
-def coerce(value: Union[str, VariantSpec, None]) -> VariantSpec:
-    """Normalize a legacy variant string (or None) to a spec."""
-    if isinstance(value, VariantSpec):
-        return value
-    return VariantSpec(variant=value if value is not None else "reference")
-
-
-def make_analysis_detector(which: str, variant: Union[str, VariantSpec],
+def make_analysis_detector(which: str, variant: str,
                            prefilter: Any = None) -> Any:
     """Construct the ``which`` ∈ {"hb", "wcp", "dc"} detector for a
     variant. HB always runs the reference detector: FastTrack-style
@@ -79,7 +41,7 @@ def make_analysis_detector(which: str, variant: Union[str, VariantSpec],
     classification) and HB is never the pipeline bottleneck. The DC
     detector is always built with ``build_graph=True`` — the pipeline
     needs the constraint graph for vindication."""
-    variant = coerce(variant).variant
+    check_variant(variant)
     if which == "hb":
         from repro.analysis.hb import HBDetector
         return HBDetector(prefilter=prefilter)
@@ -97,7 +59,7 @@ def make_analysis_detector(which: str, variant: Union[str, VariantSpec],
     return DCDetector(build_graph=True, prefilter=prefilter)
 
 
-def make_analysis_detectors(variant: Union[str, VariantSpec],
+def make_analysis_detectors(variant: str,
                             prefilter: Any = None) -> Tuple[Any, Any, Any]:
     """The full ``(hb, wcp, dc)`` trio for one variant."""
     return (make_analysis_detector("hb", variant, prefilter),

@@ -47,7 +47,10 @@ prints ``error: …`` to stderr instead of a traceback (**1** stays the
 
 ``--fast-vc`` selects the one fast detector path: the SmartTrack epoch
 WCP/DC detectors, running their per-event work through the fused C
-kernels whenever the compiled backend (``--kernels``) is active.
+kernels whenever the compiled backend is active. ``--kernels``
+(global, or after the sub-command, which wins) picks that backend; it
+is installed once, before the command runs, and the ``--jobs`` workers
+inherit it by value.
 
 Examples::
 
@@ -73,7 +76,6 @@ from typing import List, Optional
 
 from repro import obs
 from repro.analysis.races import RaceClass
-from repro.analysis.variants import VariantSpec
 from repro.core import kernels
 from repro.core.exceptions import SanitizerError, TraceFormatError
 from repro.core.trace import Trace
@@ -124,12 +126,10 @@ def _print_report(report: VindicatorReport, show_witness: bool) -> None:
             print(f"  {locs}: {rng}")
 
 
-def _variant_spec(args: argparse.Namespace) -> VariantSpec:
-    """The detector-variant × kernel-backend selection: ``--fast-vc``
-    picks the epoch detectors, and the ``--kernels`` choice rides along
-    in the spec so pool workers and shards inherit it resolved."""
-    return VariantSpec("fast" if args.fast_vc else "reference",
-                       kernels_backend=args.kernels)
+def _variant(args: argparse.Namespace) -> str:
+    """``--fast-vc`` picks the epoch detectors. The ``--kernels`` choice
+    is not part of it: :func:`main` installs that backend once."""
+    return "fast" if args.fast_vc else "reference"
 
 
 def _load_trace_file(path: str) -> Optional[Trace]:
@@ -169,7 +169,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                             prefilter=args.prefilter,
                             sanitize=args.sanitize,
                             jobs=args.jobs,
-                            variant=_variant_spec(args))
+                            variant=_variant(args))
     return _run_and_print(vindicator, trace, args.witness,
                           as_json=args.json)
 
@@ -256,7 +256,7 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
                                 prefilter=args.prefilter,
                                 sanitize=args.sanitize,
                                 jobs=args.jobs,
-                                variant=_variant_spec(args))
+                                variant=_variant(args))
         status = _run_and_print(vindicator, factory(), args.witness)
         if status:
             return status
@@ -282,7 +282,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
                             prefilter=args.prefilter,
                             sanitize=args.sanitize,
                             jobs=args.jobs,
-                            variant=_variant_spec(args))
+                            variant=_variant(args))
     return _run_and_print(vindicator, trace, args.witness,
                           as_json=args.json)
 
@@ -335,14 +335,14 @@ def _print_profile_summary(session: obs.ObsSession) -> None:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     meta = {"command": f"profile {args.target}"}
-    spec = _variant_spec(args)
+    variant = _variant(args)
     with obs.session(metrics_path=args.metrics, meta=meta,
                      deep_memory=args.deep_mem) as session:
         with obs.span(f"profile.{args.target}") as root:
             # Stamp the resolved backend (and variant) on the root span
             # so A/B kernel profiles are self-describing.
-            root.tag("kernels.backend", spec.apply())
-            root.tag("variant", spec.variant)
+            root.tag("kernels.backend", kernels.active_backend())
+            root.tag("variant", variant)
             trace = _profile_trace(args)
             if trace is None:
                 return 2
@@ -351,7 +351,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                                     prefilter=args.prefilter,
                                     sanitize=args.sanitize,
                                     jobs=args.jobs,
-                                    variant=spec)
+                                    variant=variant)
             try:
                 vindicator.run(trace)
             except SanitizerError as exc:

@@ -1,10 +1,13 @@
 /* Native implementations of the clock hot-path kernels.
  *
  * This module is the optional "compiled" backend behind
- * repro.core.kernels.  Every function here is a line-for-line
- * re-implementation of the pure-Python reference kernel of the same
+ * repro.core.kernels, and its method table holds exactly the names
+ * that module binds.  The plain kernels are line-for-line
+ * re-implementations of the pure-Python reference kernel of the same
  * name (the ``py_*`` functions in kernels.py, which define the
- * semantics); bit-identical behaviour is enforced by
+ * semantics); the fused access and sync-op kernels transcribe the
+ * epoch detectors' open-coded handlers (repro/analysis/smarttrack.py).
+ * Bit-identical behaviour is enforced by
  * tests/test_kernels_differential.py and the existing differential
  * suites.
  *
@@ -167,52 +170,6 @@ k_join_into_list_changed(PyObject *self, PyObject *args)
     return PyBool_FromLong(changed);
 }
 
-static PyObject *
-k_dominates_list(PyObject *self, PyObject *args)
-{
-    PyObject *big, *small, *fast;
-    PyObject **items;
-    Py_ssize_t i, n, nb;
-
-    if (!PyArg_ParseTuple(args, "OO:dominates_list", &big, &small))
-        return NULL;
-    if (!PyList_Check(big)) {
-        PyErr_SetString(PyExc_TypeError, "big must be a list");
-        return NULL;
-    }
-    fast = PySequence_Fast(small, "small must be a sequence");
-    if (fast == NULL)
-        return NULL;
-    n = PySequence_Fast_GET_SIZE(fast);
-    items = PySequence_Fast_ITEMS(fast);
-    nb = PyList_GET_SIZE(big);
-    for (i = 0; i < n; i++) {
-        PyObject *v = items[i];
-        int truthy = PyObject_IsTrue(v);
-        if (truthy < 0)
-            goto error;
-        if (truthy) {
-            int c;
-            if (i >= nb) {
-                Py_DECREF(fast);
-                Py_RETURN_FALSE;
-            }
-            c = obj_cmp(v, PyList_GET_ITEM(big, i), Py_GT);
-            if (c < 0)
-                goto error;
-            if (c) {
-                Py_DECREF(fast);
-                Py_RETURN_FALSE;
-            }
-        }
-    }
-    Py_DECREF(fast);
-    Py_RETURN_TRUE;
-error:
-    Py_DECREF(fast);
-    return NULL;
-}
-
 /* ------------------------------------------------------------------ */
 /* Table maintenance                                                   */
 /* ------------------------------------------------------------------ */
@@ -242,61 +199,6 @@ k_record_latest(PyObject *self, PyObject *args)
     if (record_latest_core(table, key, value) < 0)
         return NULL;
     Py_RETURN_NONE;
-}
-
-static PyObject *
-k_slot_intern(PyObject *self, PyObject *args)
-{
-    PyObject *index, *tids, *values, *tid, *idx_obj;
-    Py_ssize_t idx, nvals, want;
-
-    if (!PyArg_ParseTuple(args, "OOOO:slot_intern",
-                          &index, &tids, &values, &tid))
-        return NULL;
-    if (!PyDict_Check(index) || !PyList_Check(tids) ||
-            !PyList_Check(values)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "slot_intern expects (dict, list, list, tid)");
-        return NULL;
-    }
-    idx_obj = PyDict_GetItemWithError(index, tid);
-    if (idx_obj == NULL) {
-        if (PyErr_Occurred())
-            return NULL;
-        idx = PyList_GET_SIZE(tids);
-        idx_obj = PyLong_FromSsize_t(idx);
-        if (idx_obj == NULL)
-            return NULL;
-        if (PyDict_SetItem(index, tid, idx_obj) < 0) {
-            Py_DECREF(idx_obj);
-            return NULL;
-        }
-        if (PyList_Append(tids, tid) < 0) {
-            Py_DECREF(idx_obj);
-            return NULL;
-        }
-    }
-    else {
-        idx = PyLong_AsSsize_t(idx_obj);
-        if (idx == -1 && PyErr_Occurred())
-            return NULL;
-        Py_INCREF(idx_obj);
-    }
-    nvals = PyList_GET_SIZE(values);
-    if (idx >= nvals) {
-        want = PyList_GET_SIZE(tids);
-        while (nvals < want) {
-            PyObject *zero = PyLong_FromLong(0);
-            if (zero == NULL || PyList_Append(values, zero) < 0) {
-                Py_XDECREF(zero);
-                Py_DECREF(idx_obj);
-                return NULL;
-            }
-            Py_DECREF(zero);
-            nvals++;
-        }
-    }
-    return idx_obj;
 }
 
 /* ------------------------------------------------------------------ */
@@ -379,7 +281,8 @@ k_source_join_into(PyObject *self, PyObject *args)
 /* Dense rule (b): FIFO-cursor fixpoint                                */
 /* ------------------------------------------------------------------ */
 
-/* Core of rule_b_fixpoint, shared with the fused release kernels.
+/* The rule (b) fixpoint of the fused release kernels, a transcription
+ * of DenseLockQueues.apply_rule_b (repro/analysis/sync_structures.py).
  * When out != NULL, the newly ordered release eids are appended to
  * *out (created lazily, reference insertion order; cleanup of *out on
  * error is the caller's job).  Returns 1 if any record joined, 0 if
@@ -393,7 +296,7 @@ rule_b_core(PyObject *records, PyObject *cursors, PyObject *values,
     if (!PyDict_Check(records) || !PyDict_Check(cursors) ||
             !PyList_Check(values)) {
         PyErr_SetString(PyExc_TypeError,
-                        "rule_b_fixpoint expects (dict, dict, list)");
+                        "rule (b) expects (dict, dict, list)");
         return -1;
     }
     while (changed) {
@@ -478,23 +381,6 @@ rule_b_core(PyObject *records, PyObject *cursors, PyObject *values,
         }
     }
     return joined;
-}
-
-static PyObject *
-k_rule_b_fixpoint(PyObject *self, PyObject *args)
-{
-    PyObject *records, *cursors, *values, *out = NULL;
-
-    if (!PyArg_ParseTuple(args, "OOO:rule_b_fixpoint",
-                          &records, &cursors, &values))
-        return NULL;
-    if (rule_b_core(records, cursors, values, &out) < 0) {
-        Py_XDECREF(out);
-        return NULL;
-    }
-    if (out == NULL)
-        Py_RETURN_NONE;
-    return out;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2279,16 +2165,10 @@ static PyMethodDef kernel_methods[] = {
      "In-place pointwise max: dst[i] = max(dst[i], src[i])."},
     {"join_into_list_changed", k_join_into_list_changed, METH_VARARGS,
      "join_into_list that also reports whether dst grew."},
-    {"dominates_list", k_dominates_list, METH_VARARGS,
-     "Pointwise small <= big (missing trailing components are 0)."},
     {"record_latest", k_record_latest, METH_VARARGS,
      "(Re-)insert table[key] = value at the end of the table."},
-    {"slot_intern", k_slot_intern, METH_VARARGS,
-     "Intern tid into a TidTable and grow clock storage to its slot."},
     {"source_join_into", k_source_join_into, METH_VARARGS,
      "Dense rule (a) edge-minimised source-clock join."},
-    {"rule_b_fixpoint", k_rule_b_fixpoint, METH_VARARGS,
-     "Dense rule (b) FIFO-cursor fixpoint."},
     {"gated_scan", k_gated_scan, METH_VARARGS,
      "SmartTrack gated race scan over dense access maps."},
     {"scan_racing_sparse", k_scan_racing_sparse, METH_VARARGS,

@@ -1,26 +1,34 @@
 """Backend dispatch for the clock hot-path kernels.
 
-Every per-event inner loop of the analyses — the dense list-clock
-kernels behind ``--fast-vc``, the SmartTrack gated race scan, the
-rule (a) source-clock joins, the rule (b) fixpoint, and the
-recency-ordered (del-then-insert) table maintenance shared with the
-sparse reference detectors — funnels through the module-level functions
-defined here. Two interchangeable implementations exist:
+The dispatch table holds one kind of entry: a kernel with a compiled
+version in :mod:`repro.core._kernels` that a compiled run calls. That
+is the dense list-clock joins, the rule (a) source-clock join, the
+SmartTrack gated race scan, the sparse access-history race scan, the
+recency-ordered (del-then-insert) table maintenance, and the fused
+per-access and sync-op kernels of the epoch detectors. Loops with no
+compiled version live in their one caller (the sparse rule (a)/(b)
+loops in :mod:`repro.analysis.sync_structures`, the DC edge-buffer
+drain in :mod:`repro.analysis.smarttrack`). Two interchangeable
+implementations exist:
 
 * **python** — the pure-Python reference implementations in this file
-  (``py_*``). Always available; semantics-defining.
+  (``py_*``). Always available; semantics-defining. The fused kernels
+  have no ``py_*`` twin: they bind to None and the epoch detectors run
+  their open-coded handlers, which the C code transcribes.
 * **compiled** — :mod:`repro.core._kernels`, a hand-written CPython
-  extension built by ``setup.py`` when a C compiler is present
-  (``pip install -e .`` degrades gracefully to pure Python when it is
-  not). Bit-identical to the reference implementations by construction
-  and gated by ``tests/test_kernels_differential.py`` plus the existing
+  extension that ``setup.py`` builds on any install with a C compiler
+  (without one, the install degrades to pure Python). Bit-identical to
+  the reference implementations by construction and gated by
+  ``tests/test_kernels_differential.py`` plus the existing
   differential suites.
 
-Selection happens at import time from the ``VINDICATOR_KERNELS``
-environment variable (``auto`` — compiled when importable, else python;
-``python``; ``compiled`` — fail loudly when unavailable) and can be
-changed afterwards with :func:`set_backend` (the CLI's global
-``--kernels`` flag). Consumers must call through the module attribute
+The backend is process state, set once: at import from the
+``VINDICATOR_KERNELS`` environment variable (``auto`` — compiled when
+importable, else python; ``python``; ``compiled`` — fail loudly when
+unavailable), and again by the CLI's ``--kernels`` flag through
+:func:`set_backend`. Pool workers and serve shards receive the
+parent's :func:`active_backend` by value and call :func:`set_backend`
+on it. Consumers must call through the module attribute
 (``kernels.join_into_list(...)``), never ``from``-import a kernel, so a
 later :func:`set_backend` rebinds them too.
 
@@ -50,16 +58,10 @@ __all__ = [
     "set_backend",
     "join_into_list",
     "join_into_list_changed",
-    "dominates_list",
     "record_latest",
-    "slot_intern",
     "source_join_into",
-    "rule_b_fixpoint",
     "gated_scan",
     "scan_racing_sparse",
-    "source_join_into_sparse",
-    "rule_b_fixpoint_sparse",
-    "drain_edges",
     "access_wcp",
     "access_dc",
     "acquire_wcp",
@@ -103,15 +105,6 @@ def py_join_into_list_changed(dst: List[int], src: Sequence[int]) -> bool:
     return changed
 
 
-def py_dominates_list(big: Sequence[int], small: Sequence[int]) -> bool:
-    """Pointwise ``small <= big`` (missing trailing components are 0)."""
-    nb = len(big)
-    for i, value in enumerate(small):
-        if value and (i >= nb or value > big[i]):
-            return False
-    return True
-
-
 def py_record_latest(table: Dict[_K, _V], key: _K, value: _V) -> None:
     """(Re-)insert ``table[key] = value`` at the *end* of the table.
 
@@ -124,20 +117,6 @@ def py_record_latest(table: Dict[_K, _V], key: _K, value: _V) -> None:
     if key in table:
         del table[key]
     table[key] = value
-
-
-def py_slot_intern(index: Dict[Any, int], tids: List[Any],
-                   values: List[int], tid: Any) -> int:
-    """Intern ``tid`` into the (``index``, ``tids``) table and grow the
-    ``values`` storage to cover its slot; returns the slot index."""
-    idx = index.get(tid)
-    if idx is None:
-        idx = len(tids)
-        index[tid] = idx
-        tids.append(tid)
-    if idx >= len(values):
-        values.extend([0] * (len(tids) - len(values)))
-    return idx
 
 
 def py_source_join_into(entries: Dict[int, DenseRec], values: List[int],
@@ -155,41 +134,6 @@ def py_source_join_into(entries: Dict[int, DenseRec], values: List[int],
             out = [rec[0]]
         else:
             out.append(rec[0])
-    return out
-
-
-def py_rule_b_fixpoint(records: Dict[int, List[List[Any]]],
-                       cursors: Dict[int, int],
-                       values: List[int]) -> Optional[List[int]]:
-    """Dense rule (b) fixpoint over per-thread critical-section queues
-    (``[acq_time, rel_eid, rel_time, snapshot|None]`` records): consume
-    closed sections whose acquire is covered, joining their release
-    snapshots, iterating because each join can order further acquires.
-    ``cursors`` is the *observer's* cursor map (mutated in place).
-    Returns newly ordered release eids or None."""
-    out: Optional[List[int]] = None
-    changed = True
-    while changed:
-        changed = False
-        for u, recs in records.items():
-            i = cursors.get(u, 0)
-            n = len(recs)
-            while i < n:
-                rec = recs[i]
-                snap = rec[3]
-                if snap is None:
-                    break  # source critical section still open
-                if values[u] < rec[0]:
-                    break  # FIFO heads are monotone per thread
-                if values[u] < rec[2]:
-                    py_join_into_list(values, snap)
-                    if out is None:
-                        out = [rec[1]]
-                    else:
-                        out.append(rec[1])
-                    changed = True
-                i += 1
-            cursors[u] = i
     return out
 
 
@@ -278,111 +222,17 @@ def py_scan_racing_sparse(
     return racing
 
 
-def py_source_join_into_sparse(entries: Dict[Any, Tuple[int, int, Any]],
-                               target: Any, skip_tid: Any) -> List[int]:
-    """Sparse analog of :func:`py_source_join_into` over dict-backed
-    clocks (``target`` is a ``VectorClock``-shaped object). Returns the
-    newly ordered source eids (empty list when nothing joined, matching
-    the historical ``SourceClocks.join_into`` contract)."""
-    new_sources: List[int] = []
-    target_get = target.get
-    target_join = target.join
-    for tid, rec in entries.items():
-        if tid == skip_tid or target_get(tid) >= rec[1]:
-            continue
-        target_join(rec[2])
-        new_sources.append(rec[0])
-    return new_sources
-
-
-def py_rule_b_fixpoint_sparse(records: Dict[Any, List[Any]],
-                              cursors: Dict[Any, int],
-                              clock: Any) -> List[int]:
-    """Sparse rule (b) fixpoint over ``CSRecord`` queues and a
-    dict-backed observer clock; ``cursors`` is the observer's cursor
-    map (mutated in place). Returns newly ordered release eids."""
-    new_sources: List[int] = []
-    clock_get = clock.get
-    clock_join = clock.join
-    changed = True
-    while changed:
-        changed = False
-        # The observer's own records are included: rule (b) has no
-        # thread restriction (see LockQueues.apply_rule_b).
-        for tid, recs in records.items():
-            i = cursors.get(tid, 0)
-            n = len(recs)
-            while i < n:
-                rec = recs[i]
-                rel_clock = rec.rel_clock
-                if rel_clock is None:
-                    # The source critical section is still open; it
-                    # cannot be ordered before this release.
-                    break
-                t = clock_get(tid)
-                if t < rec.acq_local_time:
-                    break  # FIFO heads are monotone per thread.
-                if t < rec.rel_local_time:
-                    clock_join(rel_clock)
-                    new_sources.append(rec.rel_eid)
-                    changed = True
-                i += 1
-            cursors[tid] = i
-    return new_sources
-
-
-def py_drain_edges(pairs: List[int],
-                   add_edge: Callable[[int, int], Any]) -> int:
-    """Drain a DC *edge buffer* into a constraint graph.
-
-    ``pairs`` is the flat append-ordered buffer the graph-building DC
-    detectors accumulate — ``[src0, dst0, src1, dst1, ...]`` — with one
-    (src, dst) pair per ``add_edge`` call the reference detector would
-    have made, in the reference's exact insertion order (every reference
-    edge is inserted while processing its destination event, and events
-    are processed in trace order, so a single append-ordered stream
-    reproduces it). Both backends append into the same plain list: the
-    Python detector paths via ``list.append`` and the fused compiled
-    kernels via C-side ``PyList_Append`` — a growable C array either
-    way, with no per-edge Python call on the compiled path.
-
-    Calls ``add_edge(src, dst)`` for every pair, clears the buffer, and
-    returns the number of pairs drained.
-    """
-    it = iter(pairs)
-    n = 0
-    for src, dst in zip(it, it):
-        add_edge(src, dst)
-        n += 1
-    pairs.clear()
-    return n
-
-
 # ----------------------------------------------------------------------
 # Backend selection
 # ----------------------------------------------------------------------
-#: Kernels with a native implementation in repro.core._kernels.
+#: Kernels with both a ``py_*`` reference and a native implementation.
 _COMPILED_NAMES: Tuple[str, ...] = (
     "join_into_list",
     "join_into_list_changed",
-    "dominates_list",
     "record_latest",
-    "slot_intern",
     "source_join_into",
-    "rule_b_fixpoint",
     "gated_scan",
     "scan_racing_sparse",
-)
-
-#: Kernels behind the boundary whose compiled backend reuses the Python
-#: implementation: the sparse rule (a)/(b) loops spend their time in
-#: VectorClock method calls, so a native loop harness buys nothing —
-#: they are routed here so a future backend (or a set-based detector's
-#: kernel set) can take them without touching the analyses again.
-_PYTHON_ONLY_NAMES: Tuple[str, ...] = (
-    "source_join_into_sparse",
-    "rule_b_fixpoint_sparse",
-    "drain_edges",
 )
 
 #: Compiled-only *fused* kernels: one call executes the whole per-access
@@ -434,21 +284,11 @@ _active = "python"
 # module attribute, never `from`-import these).
 join_into_list: Callable[[List[int], Sequence[int]], None]
 join_into_list_changed: Callable[[List[int], Sequence[int]], bool]
-dominates_list: Callable[[Sequence[int], Sequence[int]], bool]
 record_latest: Callable[..., None]
-slot_intern: Callable[[Dict[Any, int], List[Any], List[int], Any], int]
 source_join_into: Callable[
     [Dict[int, DenseRec], List[int], int], Optional[List[int]]]
-rule_b_fixpoint: Callable[
-    [Dict[int, List[List[Any]]], Dict[int, int], List[int]],
-    Optional[List[int]]]
 gated_scan: Callable[..., Tuple[Optional[List[Any]], bool, bool]]
 scan_racing_sparse: Callable[..., Optional[List[Tuple[Any, Any]]]]
-source_join_into_sparse: Callable[
-    [Dict[Any, Tuple[int, int, Any]], Any, Any], List[int]]
-rule_b_fixpoint_sparse: Callable[
-    [Dict[Any, List[Any]], Dict[Any, int], Any], List[int]]
-drain_edges: Callable[[List[int], Callable[[int, int], Any]], int]
 access_wcp: Optional[Callable[..., int]]
 access_dc: Optional[Callable[..., int]]
 acquire_wcp: Optional[Callable[..., Any]]
@@ -511,8 +351,6 @@ def set_backend(choice: str) -> str:
     for name in _COMPILED_NAMES:
         g[name] = (getattr(_compiled_mod, name) if target == "compiled"
                    else g["py_" + name])
-    for name in _PYTHON_ONLY_NAMES:
-        g[name] = g["py_" + name]
     for name in _FUSED_NAMES + _SYNC_NAMES:
         g[name] = (getattr(_compiled_mod, name) if target == "compiled"
                    else None)

@@ -21,6 +21,11 @@ intentional differences are worker-count metadata and the reachability
 cache counters, which depend on how the work was partitioned (see
 ``docs/PARALLEL.md``).
 
+Kernel backend: both pools receive the parent's
+:func:`~repro.core.kernels.active_backend` by value, and every worker
+installs it with :func:`~repro.core.kernels.set_backend` in its
+initializer, so a run never mixes kernel implementations.
+
 The pool uses the ``fork`` start method when the platform offers it
 (cheap, inherits the imported modules) and falls back to ``spawn``;
 worker functions live in :mod:`repro.parallel.workers` as module-level
@@ -35,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro import obs
-from repro.analysis import variants
 from repro.analysis.races import DynamicRace, RaceReport
 from repro.core import kernels
 from repro.core.events import Target
@@ -96,28 +100,24 @@ class AnalysisResult:
 
 def run_analysis(trace: Trace, *, jobs: int, transitive_force: bool,
                  prefilter: Optional[FrozenSet[Target]],
-                 variant: "str | variants.VariantSpec" = "reference",
-                 ) -> AnalysisResult:
+                 variant: str = "reference") -> AnalysisResult:
     """Run the three detectors concurrently over ``trace``.
 
     Results merge in the fixed order hb, wcp, dc; with observability on,
     each worker's metrics snapshot is merged and its span trees are
     grafted under the currently open span in that same order.
-    ``variant`` is a name or a :class:`~repro.analysis.variants
-    .VariantSpec`: ``"fast"`` runs the verdict-identical epoch WCP and
-    DC detectors (:mod:`repro.analysis.smarttrack`). A spec's kernel
-    backend is applied here and shipped resolved to every worker, so
-    the pool never mixes kernel implementations.
+    ``variant`` is ``"reference"`` or ``"fast"``, the verdict-identical
+    epoch WCP and DC detectors (:mod:`repro.analysis.smarttrack`). The
+    parent's active kernel backend is shipped by value to every worker,
+    so the pool never mixes kernel implementations.
     """
-    spec = variants.coerce(variant)
-    spec.apply()
     packed = pack(trace)
     obs_on = obs.enabled()
     with ProcessPoolExecutor(
             max_workers=min(3, jobs), mp_context=pool_context(),
             initializer=workers.init_analysis,
             initargs=(packed, transitive_force, prefilter, obs_on,
-                      spec.variant, kernels.active_backend())) as pool:
+                      variant, kernels.active_backend())) as pool:
         futures = [pool.submit(workers.run_detector, which)
                    for which in ("hb", "wcp", "dc")]
         payloads = [f.result() for f in futures]

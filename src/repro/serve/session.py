@@ -30,6 +30,7 @@ from repro.serve.protocol import ProtocolError
 from repro.serve.streaming import StreamingTrace
 from repro.traces.io import parse_event_line
 from repro.traces.packed import TraceHasher
+from repro.vindicate.construct import POLICIES
 from repro.vindicate.vindicator import (Vindicator, _analysis_doc,
                                         _race_doc)
 
@@ -95,6 +96,11 @@ class SessionConfig:
                 "bad-request",
                 f"gc_window must be a non-negative integer, "
                 f"got {config.gc_window!r}")
+        if config.policy not in POLICIES:
+            raise ProtocolError(
+                "bad-request",
+                f"policy must be one of {', '.join(map(repr, POLICIES))}, "
+                f"got {config.policy!r}")
         return config
 
 

@@ -7,7 +7,10 @@ changes throughput, never results. A shard is either in-process
 (:class:`InlineShard`, ``--jobs 1``) or a forked worker
 (:class:`ProcessShard`) talking over a :func:`multiprocessing.Pipe`;
 both run the same :class:`ShardState` dispatch, so the two modes are
-behaviourally identical.
+behaviourally identical. A forked shard receives the daemon's active
+kernel backend by value and installs it with
+:func:`repro.core.kernels.set_backend` before serving, so a fleet never
+mixes kernel implementations.
 
 :meth:`ShardState.handle` never raises: every failure becomes the
 protocol's structured error response, because a malformed client stream
@@ -22,9 +25,8 @@ import re
 import signal
 import threading
 from multiprocessing.connection import Connection
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.analysis.variants import VariantSpec
 from repro.core import kernels
 from repro.obs.schema import validate_serve_request, SchemaError
 from repro.parallel.engine import pool_context
@@ -176,19 +178,16 @@ class InlineShard:
 
 
 def _shard_main(conn: "Connection", index: int,
-                spec: Optional[VariantSpec] = None) -> None:
+                kernels_backend: str) -> None:
     """Forked worker loop: one request in, one response out, until the
     exit sentinel. Signals are the parent's job — the worker must keep
     serving drain requests while the parent handles SIGTERM."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    # Re-apply the daemon's resolved variant spec (streaming sessions
-    # are always the "reference" variant, so in practice this pins the
-    # clock-kernel backend): under `spawn` the worker would otherwise
-    # re-resolve the env default, and a fleet must never silently mix
-    # kernel implementations.
-    if spec is not None:
-        spec.apply()
+    # Re-apply the daemon's resolved kernel backend: under `spawn` the
+    # worker would otherwise re-resolve the env default, and a fleet
+    # must never silently mix kernel implementations.
+    kernels.set_backend(kernels_backend)
     state = ShardState(checkpoint_dir=os.environ.get("TMPDIR", "/tmp"))
     while True:
         try:
@@ -222,9 +221,7 @@ class ProcessShard:
         self._lock = threading.Lock()
         self._proc = ctx.Process(target=_shard_main,
                                  args=(child_conn, index,
-                                       VariantSpec(
-                                           "reference",
-                                           kernels.active_backend())),
+                                       kernels.active_backend()),
                                  name=f"vindicator-shard-{index}",
                                  daemon=True)
         self._proc.start()

@@ -33,8 +33,7 @@ from repro.graph.reachability import ReachabilityIndex
 from repro.analysis.dc import DCDetector
 from repro.analysis.hb import HBDetector
 from repro.analysis.races import DynamicRace, RaceClass, RaceReport, classify
-from repro.analysis.variants import (VARIANTS as VARIANTS_TUPLE, VariantSpec,
-                                     coerce, make_analysis_detectors)
+from repro.analysis.variants import check_variant, make_analysis_detectors
 from repro.analysis.wcp import WCPDetector
 from repro.obs.schema import ANALYZE_SCHEMA_ID
 from repro.static.lockset import LocksetResult, analyze_locksets, cross_check
@@ -355,18 +354,17 @@ class Vindicator:
             verdict-identical (races, DC constraint graph, counters),
             substantially faster. HB always runs the reference
             detector (it is not the bottleneck and its ``racing_at``
-            drives classification).
+            drives classification). An unknown name raises
+            ValueError. The kernel backend is process state
+            (:func:`repro.core.kernels.set_backend`), not a parameter:
+            the parallel path ships the active backend to its workers.
     """
-
-    # Kept as a class attribute for callers that introspect the valid
-    # names; the canonical definition lives in repro.analysis.variants.
-    VARIANTS = VARIANTS_TUPLE
 
     def __init__(self, vindicate_all: bool = False, policy: str = "latest",
                  check_witnesses: bool = True, transitive_force: bool = True,
                  use_window: bool = False, prefilter: bool = False,
                  sanitize: bool = False, jobs: int = 1,
-                 variant: "str | VariantSpec" = "reference"):
+                 variant: str = "reference"):
         self.vindicate_all = vindicate_all
         self.policy = policy
         self.check_witnesses = check_witnesses
@@ -384,21 +382,11 @@ class Vindicator:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         #: Worker processes (1 = serial).
         self.jobs = jobs
-        spec = coerce(variant)
-        #: The resolved variant × kernel-backend selection
-        #: (:class:`repro.analysis.variants.VariantSpec`). Accepts a bare
-        #: variant string for compatibility; a full spec additionally
-        #: pins the kernel backend, installed at :meth:`run` entry and
-        #: shipped to pool workers so the whole pipeline agrees.
-        self.variant_spec = spec
         #: Detector implementation: "reference" or "fast" (epoch).
-        self.variant = spec.variant
+        self.variant = check_variant(variant)
 
     def run(self, trace: Trace) -> VindicatorReport:
         """Analyze ``trace`` end to end."""
-        # Install the spec's kernel backend before any detector binds
-        # its fused-kernel context (a no-op for a backend-less spec).
-        self.variant_spec.apply()
         with obs.span("pipeline.run") as pipeline_span:
             if self.jobs > 1:
                 report = self._run_parallel(trace, pipeline_span)
@@ -417,7 +405,7 @@ class Vindicator:
             lockset = analyze_locksets(trace.events)
             if self.prefilter:
                 candidates = lockset.race_candidates
-        hb, wcp, dc = make_analysis_detectors(self.variant_spec,
+        hb, wcp, dc = make_analysis_detectors(self.variant,
                                               prefilter=candidates)
         for detector in (hb, wcp, dc):
             detector.transitive_force = self.transitive_force
@@ -519,7 +507,7 @@ class Vindicator:
             analysis = engine.run_analysis(
                 trace, jobs=self.jobs,
                 transitive_force=self.transitive_force,
-                prefilter=candidates, variant=self.variant_spec)
+                prefilter=candidates, variant=self.variant)
             sp.annotate("events", len(trace))
             sp.annotate("jobs", min(3, self.jobs))
         hb_report, wcp_report, dc_report = analysis.hb, analysis.wcp, analysis.dc

@@ -302,23 +302,22 @@ class TestVariantFlagMatrix:
         assert "vindication:" in capsys.readouterr().out
 
     def test_variant_resolution_precedence(self):
-        from repro.analysis.variants import VariantSpec
-        from repro.cli import _variant_spec, build_parser
+        from repro.cli import build_parser
+        from repro.vindicate.vindicator import Vindicator
 
-        def spec(*argv):
-            return _variant_spec(build_parser().parse_args(list(argv)))
+        def parse(*argv):
+            args = build_parser().parse_args(list(argv))
+            return args.fast_vc, args.kernels
 
-        assert spec("litmus") == VariantSpec("reference", None)
-        assert spec("litmus", "--fast-vc") == VariantSpec("fast", None)
-        assert (spec("--kernels", "python", "litmus", "--fast-vc")
-                == VariantSpec("fast", "python"))
+        assert parse("litmus") == (False, None)
+        assert parse("litmus", "--fast-vc") == (True, None)
+        assert (parse("--kernels", "python", "litmus", "--fast-vc")
+                == (True, "python"))
         # The sub-command's --kernels wins over the global one.
-        assert (spec("--kernels", "compiled", "litmus", "--kernels",
-                     "python") == VariantSpec("reference", "python"))
+        assert (parse("--kernels", "compiled", "litmus", "--kernels",
+                      "python") == (False, "python"))
         with pytest.raises(ValueError):
-            VariantSpec("warp")
-        with pytest.raises(ValueError):
-            VariantSpec(kernels_backend="fortran")
+            Vindicator(variant="warp")
 
 
 class TestParser:

@@ -8,6 +8,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.core import kernels
 from repro.obs.schema import (
     validate_analyze_document,
     validate_jsonl_path,
@@ -82,10 +83,16 @@ class TestProfileCommand:
                                            capsys):
         # Every detector runs through the one Detector.analyze template,
         # so every analysis.* span carries the kernel backend and sits
-        # under pipeline.analysis, serial or parallel.
+        # under pipeline.analysis, serial or parallel. The backend is
+        # the one --kernels installed, in --jobs workers too.
         out_path = tmp_path / "prof.jsonl"
-        assert main(["profile", "avrora", "--scale", "0.2", *variant,
-                     *jobs, "--metrics", str(out_path)]) == 0
+        before = kernels.active_backend()
+        try:
+            assert main(["profile", "avrora", "--scale", "0.2", *variant,
+                         *jobs, "--kernels", "python",
+                         "--metrics", str(out_path)]) == 0
+        finally:
+            kernels.set_backend(before)
         records = [json.loads(line)
                    for line in out_path.read_text().splitlines()]
         # Span records stream in completion order (children before
@@ -104,8 +111,7 @@ class TestProfileCommand:
                     and rec["name"].startswith("analysis.")]
         assert analysis
         for rec in analysis:
-            assert rec.get("tags", {}).get("kernels.backend") in (
-                "python", "compiled"), rec
+            assert rec.get("tags", {}).get("kernels.backend") == "python", rec
         names = [rec["name"] for rec in children["pipeline.analysis"]]
         assert "analysis.hb" in names
         assert any(name.startswith("analysis.wcp") for name in names)

@@ -362,6 +362,20 @@ class TestProtocolErrors:
                 client.hello("x", config={"gc_window": -3})
             assert excinfo.value.code == "bad-request"
 
+    def test_unknown_policy_is_rejected_at_hello(self, daemon_factory):
+        # Rejected up front, not after the client has streamed a whole
+        # trace into a session whose finish can never succeed.
+        daemon = daemon_factory()
+        with connect(daemon) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.hello("p", config={"policy": "bogus",
+                                          "gc_window": 0})
+            assert excinfo.value.code == "bad-request"
+            assert "bogus" in excinfo.value.error["message"]
+            with pytest.raises(ServeError) as excinfo:
+                client.status("p")
+            assert excinfo.value.code == "unknown-session"
+
     def test_raw_garbage_frame(self, daemon_factory):
         daemon = daemon_factory()
         client = connect(daemon)

@@ -4,16 +4,22 @@ The epoch detectors plug into every consumer of the reference ones —
 the Vindicator (serial and parallel), the CLI, and the observability
 registry — and each seam must preserve the bit-identical-document
 guarantee (modulo the wall-clock fields ``tests/test_parallel.normalize``
-strips) while exposing the new epoch/ownership counters.
+strips) while exposing the new epoch/ownership counters. The dense
+clock pieces the epoch detectors build on (``TidTable`` and the list
+join kernels) are unit-tested here too.
 """
 
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
-from repro.analysis.smarttrack import EpochDCDetector, EpochWCPDetector
+from repro.analysis.smarttrack import (EpochDCDetector, EpochWCPDetector,
+                                       TidTable)
 from repro.cli import main
+from repro.core import kernels
 from repro.runtime import execute
 from repro.runtime.workloads import WORKLOADS
 from repro.traces.gen import GeneratorConfig, random_trace
@@ -27,6 +33,34 @@ from test_parallel import normalize
 @pytest.fixture(scope="module")
 def workload_trace():
     return execute(WORKLOADS["avrora"](scale=0.5), seed=2)
+
+
+class TestTidTable:
+    def test_interning_is_stable_and_dense(self):
+        table = TidTable([3, 1])
+        assert table.intern(3) == 0
+        assert table.intern(1) == 1
+        assert table.intern(7) == 2  # new tid gets the next index
+        assert table.intern(7) == 2  # ... and keeps it
+        assert table.tids == [3, 1, 7]
+        assert len(table) == 3
+
+
+class TestListKernels:
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.lists(st.integers(0, 9), max_size=6),
+           b=st.lists(st.integers(0, 9), max_size=6))
+    def test_join_kernels_match_pointwise_max(self, a, b):
+        if len(b) > len(a):
+            a, b = b, a  # kernels require len(src) <= len(dst)
+        expected = [max(x, y) for x, y in zip(a, b)] + a[len(b):]
+        got = a.copy()
+        kernels.join_into_list(got, b)
+        assert got == expected
+        got2 = a.copy()
+        changed = kernels.join_into_list_changed(got2, b)
+        assert got2 == expected
+        assert changed == (got2 != a)
 
 
 class TestDetectorSurface:
